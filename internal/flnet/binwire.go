@@ -1,22 +1,14 @@
 package flnet
 
-// Binary transport integration: the hot path speaks the length-prefixed
-// frame format of internal/flnet/wire instead of reflection-based gob.
+// Binary transport: requests and replies travel as the length-prefixed
+// frames of internal/flnet/wire. A client opens every connection with a
+// hello frame and waits for the hello-ack; the server answers anything that
+// does not start with a well-formed hello by dropping the connection.
 //
-// Negotiation keeps old and new nodes interoperable with zero configuration:
-//   - The server sniffs the first four bytes of every connection. The frame
-//     magic routes to the binary loop; anything else is a legacy portal's
-//     gob stream and gets the old loop.
-//   - A client opens with a hello frame and waits for the hello-ack. A
-//     binary-capable server acks; a pre-binary server sees garbage gob,
-//     drops the connection, and the client latches into gob for this and
-//     every future reconnect (WireAuto). WireBinary and WireGob pin the
-//     choice for tests and emulations.
-//
-// Both loops decode into per-connection reusable buffers and hand the
-// shared dispatch path zero-copy views where the host allows it; the only
-// gob left on a binary connection is the telemetry trailer, which is
-// off the hot path by construction.
+// Both ends decode into per-connection reusable buffers and hand the
+// dispatch path zero-copy views where the host allows it; the only gob left
+// on the wire is the telemetry trailer, which is off the hot path by
+// construction.
 
 import (
 	"bufio"
@@ -30,59 +22,15 @@ import (
 	"ecofl/internal/flnet/wire"
 )
 
-// WireMode selects a client's transport encoding.
+// WireMode was the client's transport selector.
+//
+// Deprecated: binary framing is the only transport; ignored.
 type WireMode int
 
-const (
-	// WireAuto (the default) negotiates binary and falls back to gob when
-	// the server does not ack the hello.
-	WireAuto WireMode = iota
-	// WireBinary requires the binary protocol; dialing a gob-only server
-	// fails instead of falling back.
-	WireBinary
-	// WireGob pins the legacy gob protocol (what a pre-binary portal
-	// speaks).
-	WireGob
-)
-
-func (m WireMode) String() string {
-	switch m {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	default:
-		return "auto"
-	}
-}
-
-// clientWire is the per-connection request/reply codec.
-type clientWire interface {
-	writeRequest(*request) error
-	readReply(*reply) error
-	name() string
-}
-
-// WireName reports which encoding the client's current connection speaks
-// ("binary" or "gob").
-func (c *Client) WireName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wire == nil {
-		return ""
-	}
-	return c.wire.name()
-}
-
-// gobClientWire is the legacy codec: one gob stream per connection.
-type gobClientWire struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobClientWire) writeRequest(req *request) error { return g.enc.Encode(req) }
-func (g *gobClientWire) readReply(rep *reply) error      { return g.dec.Decode(rep) }
-func (g *gobClientWire) name() string                    { return "gob" }
+// WireBinary is the zero WireMode.
+//
+// Deprecated: binary framing is the only transport; ignored.
+const WireBinary WireMode = 0
 
 // binClientWire frames requests and replies through reusable buffers: one
 // flush per request, zero-copy raw payloads on little-endian hosts, and a
@@ -95,8 +43,6 @@ type binClientWire struct {
 	payload []byte       // quant/sparse payload encode scratch
 	telBuf  bytes.Buffer // gob-encoded telemetry trailer scratch
 }
-
-func (b *binClientWire) name() string { return "binary" }
 
 func (b *binClientWire) writeRequest(req *request) error {
 	h := wire.Header{
@@ -167,14 +113,13 @@ func (b *binClientWire) readReply(rep *reply) error {
 	return nil
 }
 
-// newBinClientWire performs the hello/hello-ack negotiation on a fresh
-// connection and returns the binary codec. Any failure — including a
-// pre-binary server dropping the connection on our hello — is returned for
-// the caller to decide between retry and gob fallback.
-func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Duration, lim wire.Limits) (*binClientWire, error) {
+// newBinClientWire performs the hello/hello-ack exchange on a fresh
+// connection and returns its codec. Any failure is returned for the caller's
+// retry loop; the connection is unusable afterwards.
+func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Duration) (*binClientWire, error) {
 	b := &binClientWire{
 		bw: bufio.NewWriterSize(cc, 64<<10),
-		fr: wire.Reader{R: bufio.NewReaderSize(cc, 64<<10), Lim: lim},
+		fr: wire.Reader{R: bufio.NewReaderSize(cc, 64<<10)},
 	}
 	b.fw.W = b.bw
 	if timeout > 0 {
@@ -182,15 +127,7 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 		defer conn.SetDeadline(time.Time{})
 	}
 	hello := wire.Header{Kind: wire.KindHello, A: int32(id)}
-	// The hello is padded past 70 bytes on purpose: a pre-binary server's
-	// gob decoder reads the magic's 'E' (0x45) as a 69-byte message length,
-	// and with only the 36-byte bare frame on the wire it would block
-	// waiting for the rest until our deadline. With the padding the fake
-	// message completes at once, fails to parse, and the server drops the
-	// connection — so the gob fallback latches immediately instead of after
-	// a full round-trip timeout.
-	var helloPad [64]byte
-	if err := b.fw.WriteFrame(&hello, nil, helloPad[:]); err != nil {
+	if err := b.fw.WriteFrame(&hello, nil, nil); err != nil {
 		return nil, err
 	}
 	if err := b.bw.Flush(); err != nil {
@@ -206,41 +143,107 @@ func newBinClientWire(conn net.Conn, cc countingConn, id int, timeout time.Durat
 	return b, nil
 }
 
-// handleBinary is the server's frame loop: hello-ack first, then
-// request/reply frames decoded into per-connection reusable buffers. Any
-// framing violation fails the connection closed (the format has no resync
-// point, and a reconnecting portal re-negotiates from scratch).
-func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	srvConnsBinary.Inc()
-	fr := wire.Reader{R: br, Lim: wire.Limits{MaxPayload: s.opts.MaxPayload}}
+// requestDecoder turns request frames into requests through per-connection
+// reusable buffers. The server's frame loop and FuzzRequestDecode share it,
+// so the fuzzer drives exactly the decoding a portal's bytes meet.
+type requestDecoder struct {
+	quant      Quantized
+	weightsBuf []float64 // raw-payload decode scratch (big-endian hosts)
+	idxBuf     []uint32
+	valBuf     []float64
+}
+
+// decode fills req from one frame. Raw weights alias the frame's payload
+// buffer where the host allows it, so req is valid only until the next
+// frame is read. A non-nil error is a protocol violation: the connection
+// must be dropped.
+func (d *requestDecoder) decode(h wire.Header, payload, trailer []byte, req *request) error {
+	*req = request{
+		ClientID:    int(h.A),
+		Seq:         h.Seq,
+		NumSamples:  int(h.B),
+		BaseVersion: int(h.C),
+	}
+	var err error
+	switch h.Kind {
+	case wire.KindPull:
+		req.Kind = "pull"
+	case wire.KindTelemetry:
+		req.Kind = "telemetry"
+	case wire.KindPush:
+		req.Kind = "push"
+		switch h.Codec {
+		case wire.CodecRaw:
+			if v, ok := wire.RawView(payload); ok {
+				req.Weights = v
+			} else if d.weightsBuf, err = wire.ParseRaw(payload, d.weightsBuf); err == nil {
+				req.Weights = d.weightsBuf
+			}
+		case wire.CodecQuant:
+			var min, scale float64
+			var data []byte
+			if min, scale, data, err = wire.ParseQuant(payload); err == nil {
+				d.quant = Quantized{Min: min, Scale: scale, Data: data}
+				req.Quant = &d.quant
+			}
+		case wire.CodecSparse:
+			if req.DenseLen, d.idxBuf, d.valBuf, err = wire.ParseSparse(payload, d.idxBuf, d.valBuf); err == nil {
+				req.SparseIdx, req.SparseVals = d.idxBuf, d.valBuf
+			}
+		}
+		if err != nil {
+			return err
+		}
+	default:
+		// Hello mid-stream, a reply, or a future kind.
+		return fmt.Errorf("%w: kind %d where a request was expected", wire.ErrFrame, h.Kind)
+	}
+	if h.Flags&wire.FlagTelemetry != 0 && len(trailer) > 0 {
+		var snap TelemetrySnapshot
+		if err := gob.NewDecoder(bytes.NewReader(trailer)).Decode(&snap); err != nil {
+			return err
+		}
+		req.Telemetry = &snap
+	}
+	return nil
+}
+
+// handle serves one portal connection: hello-ack first, then request/reply
+// frames. Any framing violation — a first frame that is not a hello (a
+// pre-binary portal's gob stream included), a bad payload, a stray kind —
+// counts a decode error and drops the connection: the format has no resync
+// point, and a reconnecting portal says hello again.
+func (s *Server) handle(conn net.Conn) {
+	defer conn.Close()
+	if !s.trackConn(conn) {
+		return // server shutting down
+	}
+	defer s.untrackConn(conn)
+	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
+	fr := wire.Reader{R: bufio.NewReaderSize(cc, 64<<10)}
 	bw := bufio.NewWriterSize(cc, 64<<10)
 	fw := wire.Writer{W: bw}
 
 	h, _, _, err := fr.Next()
 	if err != nil || h.Kind != wire.KindHello {
-		srvDecodeErrors.Inc()
+		if err != io.EOF {
+			srvDecodeErrors.Inc()
+		}
 		return
 	}
-	if s.opts.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-	}
+	srvConnsBinary.Inc()
+	conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 	ack := wire.Header{Kind: wire.KindHelloAck}
 	if fw.WriteFrame(&ack, nil, nil) != nil || bw.Flush() != nil {
 		return
 	}
 
-	job := s.newIngestJob()
+	job := &ingestJob{done: make(chan *ingestJob, 1)}
 	var (
-		req        request
-		quant      Quantized
-		weightsBuf []float64 // raw-payload decode scratch (big-endian hosts)
-		idxBuf     []uint32
-		valBuf     []float64
+		dec requestDecoder
+		req request
 	)
 	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
 		h, payload, trailer, err := fr.Next()
 		if err != nil {
 			if err != io.EOF {
@@ -249,62 +252,12 @@ func (s *Server) handleBinary(conn net.Conn, cc countingConn, br *bufio.Reader) 
 			return
 		}
 		t0 := time.Now()
-		req = request{
-			ClientID:    int(h.A),
-			Seq:         h.Seq,
-			NumSamples:  int(h.B),
-			BaseVersion: int(h.C),
-		}
-		switch h.Kind {
-		case wire.KindPull:
-			req.Kind = "pull"
-		case wire.KindTelemetry:
-			req.Kind = "telemetry"
-		case wire.KindPush:
-			req.Kind = "push"
-			switch h.Codec {
-			case wire.CodecRaw:
-				// The view aliases the frame buffer; safe because the
-				// mixer completes before the next frame is read.
-				if v, ok := wire.RawView(payload); ok {
-					req.Weights = v
-				} else if weightsBuf, err = wire.ParseRaw(payload, weightsBuf); err == nil {
-					req.Weights = weightsBuf
-				}
-			case wire.CodecQuant:
-				var min, scale float64
-				var data []byte
-				if min, scale, data, err = wire.ParseQuant(payload); err == nil {
-					quant = Quantized{Min: min, Scale: scale, Data: data}
-					req.Quant = &quant
-				}
-			case wire.CodecSparse:
-				if req.DenseLen, idxBuf, valBuf, err = wire.ParseSparse(payload, idxBuf, valBuf); err == nil {
-					req.SparseIdx, req.SparseVals = idxBuf, valBuf
-				}
-			}
-			if err != nil {
-				srvDecodeErrors.Inc()
-				return
-			}
-		default:
-			// Hello mid-stream, a reply, or a future kind: protocol
-			// violation, fail closed.
+		if dec.decode(h, payload, trailer, &req) != nil {
 			srvDecodeErrors.Inc()
 			return
 		}
-		if h.Flags&wire.FlagTelemetry != 0 && len(trailer) > 0 {
-			var snap TelemetrySnapshot
-			if gob.NewDecoder(bytes.NewReader(trailer)).Decode(&snap) != nil {
-				srvDecodeErrors.Inc()
-				return
-			}
-			req.Telemetry = &snap
-		}
 		rep := s.dispatch(&req, job)
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(DefaultTimeout))
 		rh := wire.Header{Kind: wire.KindReply, A: int32(rep.Version)}
 		var errTrailer []byte
 		if rep.Err != "" {

@@ -1,12 +1,11 @@
 // Package flnet is the wire protocol between Eco-FL portal nodes and the
 // Eco-FL server: a TCP transport over which a portal pulls the current
 // global (or group) model and pushes its locally trained update, receiving
-// the freshly mixed model in return. The hot path speaks the length-prefixed
-// binary framing of internal/flnet/wire (raw, quantized or top-k sparse
-// payloads), negotiated per connection with a latched gob fallback so
-// pre-binary portals and servers interoperate unchanged. The server applies
-// the asynchronous aggregation of §5.1 — w ← (1−α)w + α·w_new with a
-// staleness-attenuated α — under a mutex amortized by a batching ingest
+// the freshly mixed model in return. Every connection speaks the
+// length-prefixed binary framing of internal/flnet/wire (raw, quantized or
+// top-k sparse payloads), opened by a hello/hello-ack exchange. The server
+// applies the asynchronous aggregation of §5.1 — w ← (1−α)w + α·w_new with
+// a staleness-attenuated α — under a mutex amortized by a batching ingest
 // mixer, so any number of portals can push concurrently. This is the
 // "prototype" transport counterpart of the virtual-time simulator in
 // internal/fl.
@@ -23,12 +22,8 @@
 package flnet
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -39,7 +34,6 @@ import (
 
 	"ecofl/internal/fl"
 	"ecofl/internal/fl/robust"
-	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/journal"
 	"ecofl/internal/tensor"
 )
@@ -48,9 +42,9 @@ import (
 // or a Quantized payload (mutually exclusive). Telemetry piggybacks on
 // pushes when the client has it enabled, and is the sole payload of a
 // standalone "telemetry" request. Seq is the client's monotonically
-// increasing push sequence number (0 on non-push requests and from legacy
-// clients): the server acks a Seq it has already applied from its dedup
-// window instead of mixing the update again.
+// increasing push sequence number (0 on non-push requests): the server acks
+// a Seq it has already applied from its dedup window instead of mixing the
+// update again.
 type request struct {
 	Kind        string // "pull", "push" or "telemetry"
 	ClientID    int
@@ -65,7 +59,8 @@ type request struct {
 	// reference model this client was last acked with (BaseVersion must
 	// match the ack's version). Mutually exclusive with Weights/Quant.
 	// Wire-level validation happens in the binary codec; applyLocked
-	// re-validates because the same fields can arrive via gob.
+	// re-validates because applyPush is the last gate before training
+	// state, whatever built the request.
 	SparseIdx  []uint32
 	SparseVals []float64
 	DenseLen   int
@@ -82,16 +77,6 @@ type reply struct {
 type ServerOptions struct {
 	// Alpha is the base mixing weight of the asynchronous aggregation.
 	Alpha float64
-	// IdleTimeout bounds how long a connection may sit idle between
-	// requests before the server drops it (a reconnecting client rides
-	// through, and its next push is deduplicated if needed). 0 disables:
-	// portals legitimately go quiet for whole local-training rounds, and
-	// Close force-closes every tracked connection anyway.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write so a dead portal cannot pin a
-	// handler goroutine mid-send. 0 means the 30s default; negative
-	// disables.
-	WriteTimeout time.Duration
 	// Resume restores weights, version, push count and the per-client
 	// sequence numbers from a checkpoint (crash recovery).
 	Resume *Checkpoint
@@ -100,18 +85,6 @@ type ServerOptions struct {
 	// (a reply lost after the update was applied is the case that makes
 	// push dedup a correctness requirement).
 	WrapConn func(net.Conn) net.Conn
-	// GobOnly disables binary-frame sniffing, emulating a pre-PR6 server:
-	// every connection is treated as a gob stream, so a binary client's
-	// hello is a decode error and the client falls back to gob (the
-	// mixed-version interop tests exercise exactly this).
-	GobOnly bool
-	// MaxPayload caps the payload length a binary frame may claim, in
-	// bytes. 0 means the wire default (128 MiB).
-	MaxPayload int
-	// IngestBatch caps how many queued pushes the ingest mixer applies per
-	// lock acquisition. 0 means 32; negative disables the mixer entirely
-	// (every push takes the model lock itself, the pre-PR6 behaviour).
-	IngestBatch int
 	// Journal, when non-nil, is the server's flight recorder: its local lane
 	// (Journal.Local, conventionally node −1 like the fleet-trace server
 	// lane) records push applies/dedups/rejects and checkpoint events, and
@@ -144,18 +117,14 @@ type ServerOptions struct {
 	NormGateWarmup int
 }
 
-// DefaultTimeout is the default per-round-trip deadline on both ends.
+// DefaultTimeout is the default per-round-trip deadline on both ends; the
+// server bounds each reply write by it so a dead portal cannot pin a handler
+// goroutine mid-send.
 const DefaultTimeout = 30 * time.Second
 
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = DefaultTimeout
-	}
-	if o.IngestBatch == 0 {
-		o.IngestBatch = 32
-	}
-	return o
-}
+// ingestBatch caps how many queued pushes the ingest mixer applies per
+// model-lock acquisition.
+const ingestBatch = 32
 
 // ingestJob is one decoded push waiting for the mixer. done is owned by the
 // submitting handler and reused across its connection's lifetime.
@@ -179,11 +148,11 @@ type Server struct {
 	fleet *Fleet
 
 	// Batched ingest: handler goroutines enqueue decoded pushes here and a
-	// single mixer goroutine applies them, draining up to opts.IngestBatch
-	// per model-lock acquisition so N concurrent portals cost ~1 lock per
-	// batch instead of 1 per push. Arrival order is preserved (one queue,
-	// one consumer), so aggregation is exactly as deterministic as the
-	// mutex it amortizes. nil when the mixer is disabled.
+	// single mixer goroutine applies them, draining up to ingestBatch per
+	// model-lock acquisition so N concurrent portals cost ~1 lock per batch
+	// instead of 1 per push. Arrival order is preserved (one queue, one
+	// consumer), so aggregation is exactly as deterministic as the mutex it
+	// amortizes.
 	ingestCh chan *ingestJob
 	mixerWG  sync.WaitGroup
 
@@ -229,7 +198,6 @@ func NewServer(ln net.Listener, init []float64, alpha float64) *Server {
 // version, push count, per-client sequence numbers) instead of init; init's
 // length must match the checkpointed model.
 func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server, error) {
-	opts = opts.withDefaults()
 	s := &Server{
 		Alpha:        opts.Alpha,
 		StalenessExp: 1.0,
@@ -268,11 +236,9 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 		s.jrec().Record("checkpoint.resume", ck.Version, journal.None,
 			"pushes", strconv.Itoa(ck.Pushes), "clients", strconv.Itoa(len(ck.LastSeq)))
 	}
-	if opts.IngestBatch > 0 {
-		s.ingestCh = make(chan *ingestJob, 4*opts.IngestBatch)
-		s.mixerWG.Add(1)
-		go s.mixerLoop()
-	}
+	s.ingestCh = make(chan *ingestJob, 4*ingestBatch)
+	s.mixerWG.Add(1)
+	go s.mixerLoop()
 	if opts.LeaseTTL > 0 {
 		interval := opts.LeaseTTL / 4
 		if interval < 10*time.Millisecond {
@@ -287,16 +253,16 @@ func NewServerOpts(ln net.Listener, init []float64, opts ServerOptions) (*Server
 	return s, nil
 }
 
-// mixerLoop drains queued pushes, applying up to opts.IngestBatch of them
-// per model-lock acquisition. It exits when the ingest channel closes
+// mixerLoop drains queued pushes, applying up to ingestBatch of them per
+// model-lock acquisition. It exits when the ingest channel closes
 // (Close, after every handler has returned).
 func (s *Server) mixerLoop() {
 	defer s.mixerWG.Done()
-	batch := make([]*ingestJob, 0, s.opts.IngestBatch)
+	batch := make([]*ingestJob, 0, ingestBatch)
 	for job := range s.ingestCh {
 		batch = append(batch[:0], job)
 	drain:
-		for len(batch) < s.opts.IngestBatch {
+		for len(batch) < ingestBatch {
 			select {
 			case j, ok := <-s.ingestCh:
 				if !ok {
@@ -320,11 +286,8 @@ func (s *Server) mixerLoop() {
 }
 
 // submitPush routes one push through the mixer, reusing the handler-owned
-// job, or applies it directly when the mixer is disabled.
+// job.
 func (s *Server) submitPush(req *request, job *ingestJob) (reply, bool) {
-	if s.ingestCh == nil || job == nil {
-		return s.applyPush(req)
-	}
 	job.req = req
 	s.ingestCh <- job
 	<-job.done
@@ -351,10 +314,8 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// All handlers have returned, so nothing can enqueue anymore; drain the
 	// mixer and wait it out.
-	if s.ingestCh != nil {
-		close(s.ingestCh)
-		s.mixerWG.Wait()
-	}
+	close(s.ingestCh)
+	s.mixerWG.Wait()
 	return err
 }
 
@@ -424,80 +385,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one portal connection. The first four bytes decide the
-// protocol: a binary-frame magic routes to the frame loop, anything else
-// (a legacy portal's gob stream) to the gob loop. With GobOnly the sniff is
-// skipped entirely, emulating a pre-binary server.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	if !s.trackConn(conn) {
-		return // server shutting down
-	}
-	defer s.untrackConn(conn)
-	cc := countingConn{Conn: conn, in: srvBytesIn, out: srvBytesOut}
-	br := bufio.NewReaderSize(cc, 64<<10)
-	if !s.opts.GobOnly {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		head, err := br.Peek(len(wire.Magic))
-		if err != nil {
-			if err != io.EOF {
-				srvDecodeErrors.Inc()
-			}
-			return
-		}
-		if bytes.Equal(head, wire.Magic[:]) {
-			s.handleBinary(conn, cc, br)
-			return
-		}
-	}
-	s.handleGob(conn, cc, br)
-}
-
-// handleGob is the legacy request loop: one gob stream per connection.
-func (s *Server) handleGob(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	srvConnsGob.Inc()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(cc)
-	job := s.newIngestJob()
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				// Anything but a clean close is a malformed or truncated
-				// stream — worth a counter so a misbehaving (or merely
-				// version-skewed) portal shows up on the dashboard.
-				srvDecodeErrors.Inc()
-			}
-			return // connection done
-		}
-		t0 := time.Now()
-		rep := s.dispatch(&req, job)
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
-		if err := enc.Encode(&rep); err != nil {
-			return
-		}
-		srvRequestSeconds.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// newIngestJob returns the handler-owned mixer job, or nil when the mixer
-// is disabled.
-func (s *Server) newIngestJob() *ingestJob {
-	if s.ingestCh == nil {
-		return nil
-	}
-	return &ingestJob{done: make(chan *ingestJob, 1)}
-}
-
-// dispatch answers one decoded request. It is shared by the gob and binary
-// loops; only payload decode and reply encode differ between them.
+// dispatch answers one decoded request.
 func (s *Server) dispatch(req *request, job *ingestJob) reply {
 	var rep reply
 	switch req.Kind {
@@ -640,7 +528,8 @@ func (s *Server) screenLocked(req *request) (norm float64, reason string) {
 		}
 		// The whole dequantized range is spanned by Min and Min+255·Scale:
 		// both finite ⇒ every value finite. The binary codec already rejects
-		// non-finite params, but the same fields arrive unchecked via gob.
+		// non-finite params, but finite ones can still overflow here, and
+		// this screen is the last gate before training state.
 		lo, hi := q.Min, q.Min+255*q.Scale
 		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
 			return norm, "non-finite"
@@ -747,9 +636,8 @@ func (s *Server) applyLocked(req *request) error {
 
 // sparseRefLocked validates a sparse push and returns the reference model
 // it overlays. The binary codec already validated the payload shape, but
-// the same request fields can arrive via gob from an arbitrary peer, so
-// everything is re-checked here: this is the last gate before training
-// state. Caller holds s.mu.
+// applyPush is the last gate before training state and must not trust its
+// caller, so everything is re-checked here. Caller holds s.mu.
 func (s *Server) sparseRefLocked(req *request) ([]float64, error) {
 	n := len(s.weights)
 	if req.DenseLen != n {
@@ -796,16 +684,11 @@ type Client struct {
 	addr string
 	opts Options
 
-	mu   sync.Mutex      // serializes round trips; guards codec, tel, seq, rng
-	wire clientWire      // per-connection request/reply codec (binary or gob)
+	mu   sync.Mutex      // serializes round trips; guards wire, tel, seq, rng
+	wire *binClientWire  // per-connection request/reply codec
 	tel  *telemetryState // nil until EnableTelemetry
 	seq  uint64          // last assigned push sequence number
 	rng  *rand.Rand      // backoff jitter stream
-
-	// gobFallback is latched when a binary hello is rejected by the peer
-	// (a pre-binary server): every later reconnect goes straight to gob
-	// instead of re-probing.
-	gobFallback bool
 
 	// scratchMu guards the push-side encode scratch (the reusable
 	// quantization buffer and the sparse delta buffers) across concurrent

@@ -7,33 +7,55 @@ import (
 	"testing"
 
 	"ecofl/internal/fl/robust"
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs"
 )
 
 // FuzzQuantizeRoundTrip checks the quantization error bound on arbitrary
 // 4-element vectors (runs the seed corpus under plain `go test`; use
 // `go test -fuzz=FuzzQuantizeRoundTrip` for continuous fuzzing).
-// FuzzRequestDecode throws arbitrary byte streams at the server-side request
-// loop: whatever survives the gob decoder is fed through the push
-// aggregation (including the seq-dedup window) and telemetry ingest, which
-// must not panic and must hold their invariants — duplicate sequence numbers
-// are never re-applied, the seq high-water mark never moves backwards, and
-// the model version advances exactly once per accepted push — no matter what
-// kinds, payloads, metric names, or span batches the bytes claim to carry.
-// Truncated streams (a connection severed mid-gob) must decode cleanly up to
-// the cut and reject the rest.
+// FuzzRequestDecode throws arbitrary byte streams at the server's
+// post-hello request loop: frames are read with the server's reader limits
+// and decoded by the server's own requestDecoder, and whatever survives is
+// fed through the push aggregation (including the seq-dedup window) and
+// telemetry ingest, which must not panic and must hold their invariants —
+// duplicate sequence numbers are never re-applied, the seq high-water mark
+// never moves backwards, the model version advances exactly once per
+// accepted push, and no weight ever turns non-finite — no matter what kinds,
+// payloads, metric names, or span batches the frames claim to carry.
+// Truncated streams (a connection severed mid-frame) must decode cleanly up
+// to the cut and reject the rest.
 func FuzzRequestDecode(f *testing.F) {
-	seed := func(reqs ...*request) []byte {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for _, req := range reqs {
-			if err := enc.Encode(req); err != nil {
+	frame := func(h wire.Header, payload []byte, tel *TelemetrySnapshot) []byte {
+		var trailer bytes.Buffer
+		if tel != nil {
+			if err := gob.NewEncoder(&trailer).Encode(tel); err != nil {
 				f.Fatal(err)
 			}
+			h.Flags |= wire.FlagTelemetry
+		}
+		var buf bytes.Buffer
+		w := wire.Writer{W: &buf}
+		if err := w.WriteFrame(&h, payload, trailer.Bytes()); err != nil {
+			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(&request{Kind: "telemetry", ClientID: 1, Telemetry: &TelemetrySnapshot{
+	raw := func(clientID int32, seq uint64, w ...float64) []byte {
+		return frame(wire.Header{Kind: wire.KindPush, Codec: wire.CodecRaw, A: clientID, B: 1, Seq: seq},
+			wire.AppendRaw(nil, w), nil)
+	}
+	quant := func(min, scale float64, data ...uint8) []byte {
+		return frame(wire.Header{Kind: wire.KindPush, Codec: wire.CodecQuant, A: 4, B: 1, Seq: 1},
+			wire.AppendQuant(nil, min, scale, data), nil)
+	}
+	sparse := func(denseLen int, idx []uint32, vals ...float64) []byte {
+		return frame(wire.Header{Kind: wire.KindPush, Codec: wire.CodecSparse, A: 1, B: 1, Seq: 1},
+			wire.AppendSparse(nil, denseLen, idx, vals), nil)
+	}
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+
+	f.Add(frame(wire.Header{Kind: wire.KindTelemetry, A: 1}, nil, &TelemetrySnapshot{
 		NodeID: 1, Proc: "portal", NodeNow: 1.5,
 		Metrics: []MetricPoint{
 			{Family: "ecofl_x_total", Kind: "counter", Value: 3},
@@ -41,65 +63,64 @@ func FuzzRequestDecode(f *testing.F) {
 				Kind: "histogram", Count: 2, Sum: 0.2, P50: 0.1, P99: 0.19},
 		},
 		Spans: []obs.Event{{Name: "train", Cat: "portal", Start: 0.5, Dur: 0.25}},
-	}}))
-	f.Add(seed(&request{Kind: "telemetry", ClientID: -7, Telemetry: &TelemetrySnapshot{
+	}))
+	f.Add(frame(wire.Header{Kind: wire.KindTelemetry, A: -7}, nil, &TelemetrySnapshot{
 		NodeID: -7, NodeNow: math.Inf(1),
 		Metrics: []MetricPoint{{Family: `bad{family`, Labels: []string{"odd"}, Kind: "gauge"}},
-	}}))
-	f.Add(seed(&request{Kind: "push", Weights: []float64{1, 2}, NumSamples: 3}))
-	// Sparse-overlay pushes arriving via gob bypass the binary codec's
-	// validation, so applyPush's own gate is what the fuzzer hammers here:
-	// a well-formed overlay (rejected only for the missing ack window), and
-	// hostile ones — unsorted and out-of-range indices, NaN/Inf values,
-	// mismatched pair counts, a dense-length lie.
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0}, SparseVals: []float64{1.5}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{1, 0}, SparseVals: []float64{1, 2}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{7}, SparseVals: []float64{1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0}, SparseVals: []float64{math.NaN()}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0, 1}, SparseVals: []float64{math.Inf(1), 0}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 1 << 30,
-		SparseIdx: []uint32{0}, SparseVals: []float64{1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 1, Seq: 1, DenseLen: 2,
-		SparseIdx: []uint32{0, 1}, SparseVals: []float64{1}, NumSamples: 1}))
-	// Semantic poison via gob (the binary codec rejects these at parse time,
-	// so applyPush's screen is the only gate): non-finite dense and quantized
-	// payloads, and an oversized-norm dense update for the adaptive gate.
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1,
-		Weights: []float64{math.NaN(), 0}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1,
-		Weights: []float64{math.Inf(-1), 1}, NumSamples: 1}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1, NumSamples: 1,
-		Quant: &Quantized{Min: math.NaN(), Scale: 1, Data: []uint8{1, 2}}}))
-	f.Add(seed(&request{Kind: "push", ClientID: 4, Seq: 1, NumSamples: 1,
-		Quant: &Quantized{Min: 1e308, Scale: 1e306, Data: []uint8{255, 255}}}))
-	f.Add(seed(&request{Kind: "push", ClientID: 5, Seq: 1,
-		Weights: []float64{1e30, -1e30}, NumSamples: 1}))
+	}))
+	f.Add(frame(wire.Header{Kind: wire.KindPush, Codec: wire.CodecRaw, B: 3},
+		wire.AppendRaw(nil, []float64{1, 2}), nil))
+	// Sparse-overlay pushes: a well-formed overlay (rejected only for the
+	// missing ack window), and hostile ones the codec must refuse or
+	// applyPush's own gate must stop — unsorted and out-of-range indices,
+	// NaN/Inf values, a dense-length lie, mismatched pair counts.
+	f.Add(sparse(2, []uint32{0}, 1.5))
+	f.Add(sparse(2, []uint32{1, 0}, 1, 2))
+	f.Add(sparse(2, []uint32{7}, 1))
+	f.Add(sparse(2, []uint32{0}, math.NaN()))
+	f.Add(sparse(2, []uint32{0, 1}, math.Inf(1), 0))
+	f.Add(sparse(1<<30, []uint32{0}, 1))
+	f.Add(sparse(2, []uint32{0, 1}, 1))
+	// Semantic poison the codecs carry or reject: non-finite dense and
+	// quantized payloads, quant parameters finite on the wire but
+	// overflowing once dequantized (min + 255·scale), and an oversized-norm
+	// dense update for the adaptive gate.
+	f.Add(raw(4, 1, math.NaN(), 0))
+	f.Add(raw(4, 1, math.Inf(-1), 1))
+	f.Add(quant(math.NaN(), 1, 1, 2))
+	f.Add(quant(1e308, 1e306, 255, 255))
+	f.Add(raw(5, 1, 1e30, -1e30))
 	// The retry wire patterns: the same Seq pushed twice back to back (an ack
 	// lost in flight), and a stale straggler Seq after a newer one landed.
-	f.Add(seed(
-		&request{Kind: "push", ClientID: 2, Seq: 5, Weights: []float64{1, 2}, NumSamples: 1},
-		&request{Kind: "push", ClientID: 2, Seq: 5, Weights: []float64{1, 2}, NumSamples: 1},
-	))
-	f.Add(seed(
-		&request{Kind: "push", ClientID: 1, Seq: 9, Weights: []float64{3, 4}, NumSamples: 1},
-		&request{Kind: "push", ClientID: 1, Seq: 2, Weights: []float64{8, 8}, NumSamples: 1},
-		&request{Kind: "pull", ClientID: 1},
-	))
-	// Connections severed mid-message: a lone truncated request, and a valid
+	f.Add(cat(raw(2, 5, 1, 2), raw(2, 5, 1, 2)))
+	f.Add(cat(raw(1, 9, 3, 4), raw(1, 2, 8, 8), frame(wire.Header{Kind: wire.KindPull, A: 1}, nil, nil)))
+	// Connections severed mid-frame: a lone truncated request, and a valid
 	// request followed by a truncated one (decode succeeds, then fails).
-	whole := seed(&request{Kind: "push", ClientID: 3, Seq: 1, Weights: []float64{5, 6}, NumSamples: 2})
+	whole := raw(3, 1, 5, 6)
 	f.Add(whole[:len(whole)/2])
-	f.Add(append(append([]byte(nil), whole...), whole[:2*len(whole)/3]...))
-	f.Add([]byte("\x7fthis is not a gob stream"))
+	f.Add(cat(whole, whole[:2*len(whole)/3]))
+	f.Add([]byte("\x7fthis is not a frame stream, only bytes on the wire"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	// What a pre-binary portal sends: a gob-encoded request. Its first bytes
+	// are no frame magic, so nothing of it is applied.
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&request{Kind: "push", ClientID: 6, Seq: 1,
+		Weights: []float64{9, 9}, NumSamples: 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy.Bytes())
+	// Protocol violations after a valid push: a hello mid-stream, and a
+	// telemetry flag over a trailer that is not a snapshot.
+	f.Add(cat(raw(7, 1, 1, 1), frame(wire.Header{Kind: wire.KindHello, A: 7}, nil, nil), raw(7, 2, 2, 2)))
+	var bogusTel bytes.Buffer
+	if err := (&wire.Writer{W: &bogusTel}).WriteFrame(&wire.Header{Kind: wire.KindTelemetry, A: 8,
+		Flags: wire.FlagTelemetry}, nil, []byte("not gob")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cat(raw(8, 1, 1, 1), bogusTel.Bytes()))
+	f.Fuzz(func(t *testing.T, stream []byte) {
 		// A bare in-package server: applyPush and telemetry ingest never
-		// touch the listener or connection set.
+		// touch the listener, the mixer or the connection set.
 		s := &Server{
 			Alpha: 0.5, StalenessExp: 1,
 			fleet:    newFleet(),
@@ -108,11 +129,18 @@ func FuzzRequestDecode(f *testing.F) {
 			lastAck:  make(map[int]reply),
 			normGate: robust.NewNormTracker(8, 4, 6),
 		}
-		dec := gob.NewDecoder(bytes.NewReader(raw))
+		fr := wire.Reader{R: bytes.NewReader(stream)}
+		var (
+			dec requestDecoder
+			req request
+		)
 		for n := 0; n < 64; n++ {
-			var req request
-			if err := dec.Decode(&req); err != nil {
+			h, payload, trailer, err := fr.Next()
+			if err != nil {
 				break // malformed or truncated: the server drops the conn
+			}
+			if dec.decode(h, payload, trailer, &req) != nil {
+				break // protocol violation: the server drops the conn
 			}
 			if req.Kind == "push" {
 				prev := s.lastSeq[req.ClientID]

@@ -1,9 +1,7 @@
 package flnet
 
-// Mixed-version and codec interop: binary-default servers must serve legacy
-// gob portals, binary portals must fall back against gob-only servers, and
-// every payload codec — raw, quantized, sparse — must converge bit-for-bit
-// identically whichever wire carried it, under chaos and across restarts.
+// Codec interop: every payload codec — raw, quantized, sparse — must
+// converge bit-for-bit identically under chaos and across restarts.
 
 import (
 	"math/rand"
@@ -26,183 +24,6 @@ func startServerOpts(t *testing.T, init []float64, opts ServerOptions) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
-}
-
-func TestWireNegotiation(t *testing.T) {
-	cases := []struct {
-		name     string
-		gobOnly  bool
-		mode     WireMode
-		wantWire string
-		wantErr  bool
-	}{
-		{"auto vs binary server", false, WireAuto, "binary", false},
-		{"gob pinned vs binary server", false, WireGob, "gob", false},
-		{"binary pinned vs binary server", false, WireBinary, "binary", false},
-		{"auto vs gob-only server falls back", true, WireAuto, "gob", false},
-		{"gob pinned vs gob-only server", true, WireGob, "gob", false},
-		{"binary pinned vs gob-only server fails", true, WireBinary, "", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := startServerOpts(t, []float64{1, 2, 3}, ServerOptions{Alpha: 0.5, GobOnly: tc.gobOnly})
-			c, err := DialOptions(s.Addr(), 0, Options{Wire: tc.mode, Timeout: 2 * time.Second})
-			if tc.wantErr {
-				if err == nil {
-					c.Close()
-					t.Fatal("dial succeeded, want negotiation failure")
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.WireName(); got != tc.wantWire {
-				t.Fatalf("negotiated %q, want %q", got, tc.wantWire)
-			}
-			// The negotiated wire must actually carry traffic.
-			w, v, err := c.Pull()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != 0 || len(w) != 3 || w[2] != 3 {
-				t.Fatalf("pull over %s wire: %v v%d", tc.wantWire, w, v)
-			}
-			if _, nv, err := c.Push([]float64{4, 5, 6}, 1, v); err != nil || nv != 1 {
-				t.Fatalf("push over %s wire: v%d, %v", tc.wantWire, nv, err)
-			}
-		})
-	}
-}
-
-// TestMixedWireSoakByteIdentical runs the deterministic soak with every
-// combination of wire protocols — all gob against a gob-only server (the
-// pre-binary homogeneous baseline), all binary, and a mixed fleet — and
-// demands the exact same final model. The wire encodes the same requests
-// either way, so any divergence means the binary codec corrupted a payload.
-func TestMixedWireSoakByteIdentical(t *testing.T) {
-	rounds := soakRounds()
-	goldenW, goldenV := func() ([]float64, int) {
-		s := startServerOpts(t, soakInit(), ServerOptions{Alpha: 0.5, GobOnly: true})
-		h := newSoakHarness(t, s, nil)
-		for i := 0; i < rounds; i++ {
-			h.runRound()
-		}
-		w, v := s.Snapshot()
-		return w, v
-	}()
-
-	fleets := []struct {
-		name string
-		mode func(id int) WireMode
-	}{
-		{"all-binary", func(int) WireMode { return WireBinary }},
-		{"mixed", func(id int) WireMode {
-			if id%2 == 0 {
-				return WireGob
-			}
-			return WireBinary
-		}},
-	}
-	for _, fleet := range fleets {
-		t.Run(fleet.name, func(t *testing.T) {
-			s := startServerOpts(t, soakInit(), ServerOptions{Alpha: 0.5})
-			h := newSoakHarnessOpts(t, s, nil, func(id int, o *Options) { o.Wire = fleet.mode(id) })
-			for id, c := range h.clients {
-				if got, want := c.WireName(), fleet.mode(id).String(); got != want {
-					t.Fatalf("client %d negotiated %q, want %q", id, got, want)
-				}
-			}
-			for i := 0; i < rounds; i++ {
-				h.runRound()
-			}
-			w, v := s.Snapshot()
-			assertSameModel(t, fleet.name, w, v, goldenW, goldenV)
-		})
-	}
-
-	// The same mixed fleet through fault-injecting links: retries and
-	// reconnects (which re-negotiate the wire from scratch) must not break
-	// byte-identical convergence either.
-	t.Run("mixed-chaos", func(t *testing.T) {
-		s := startServerOpts(t, soakInit(), ServerOptions{Alpha: 0.5})
-		h := newSoakHarnessOpts(t, s,
-			func(id int) Dialer {
-				return Dialer(simnet.NewChaos(simnet.FaultPlan{
-					Seed: int64(id + 31), Mode: simnet.FaultDrop, Prob: 0.10, After: 2,
-				}).Dialer(nil))
-			},
-			func(id int, o *Options) {
-				if id%2 == 0 {
-					o.Wire = WireGob
-				}
-			})
-		for i := 0; i < rounds; i++ {
-			h.runRound()
-		}
-		w, v := s.Snapshot()
-		assertSameModel(t, "mixed-chaos", w, v, goldenW, goldenV)
-		if retries, _ := h.stats(); retries == 0 {
-			t.Fatal("no retries — the fault plan never fired")
-		}
-	})
-}
-
-// TestMixedWireRestartMidSoak kills and checkpoint-restores the server
-// halfway through a faulty soak served to a mixed gob/binary fleet. Clients
-// re-negotiate their wire on every reconnect; dedup and resume semantics are
-// wire-agnostic, so the model must still match the homogeneous golden run.
-func TestMixedWireRestartMidSoak(t *testing.T) {
-	rounds := soakRounds()
-	goldenW, goldenV := goldenSoak(t, rounds)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := NewServerOpts(ln, soakInit(), ServerOptions{Alpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := s1.Addr()
-	h := newSoakHarnessOpts(t, s1,
-		func(id int) Dialer {
-			return Dialer(simnet.NewChaos(simnet.FaultPlan{
-				Seed: int64(id + 53), Mode: simnet.FaultDrop, Prob: 0.10, After: 2,
-			}).Dialer(nil))
-		},
-		func(id int, o *Options) {
-			if id%2 == 1 {
-				o.Wire = WireGob
-			}
-		})
-
-	var s2 *Server
-	for i := 0; i < rounds; i++ {
-		if i == rounds/2 {
-			ck := h.s.Checkpoint()
-			if err := h.s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ln2, err := net.Listen("tcp", addr)
-			if err != nil {
-				t.Fatalf("rebind %s: %v", addr, err)
-			}
-			s2, err = NewServerOpts(ln2, soakInit(), ServerOptions{Alpha: 0.5, Resume: ck})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s2.Close() })
-			h.s = s2
-		}
-		h.runRound()
-	}
-	w, v := s2.Snapshot()
-	assertSameModel(t, "mixed-restart", w, v, goldenW, goldenV)
-	if s2.Pushes() != goldenV {
-		t.Fatalf("accepted pushes across the crash %d != golden %d", s2.Pushes(), goldenV)
-	}
 }
 
 // TestCodecChaosSoakByteIdentical runs the soak once per payload codec over

@@ -9,10 +9,10 @@ import (
 )
 
 // Protocol observability on the metrics Default registry. Counters sit
-// around whole gob round trips — chunky operations — so the cost is a few
+// around whole round trips — chunky operations — so the cost is a few
 // atomic adds per request, invisible next to encode/decode and TCP. Byte
 // counts are measured at the net.Conn boundary (what actually crossed the
-// wire), not at the payload level, so gob framing overhead is included.
+// wire), not at the payload level, so frame headers are included.
 var (
 	srvRequestsPull = metrics.GetCounter("ecofl_flnet_server_requests_total",
 		"requests served by kind", "kind", "pull")
@@ -61,14 +61,13 @@ var (
 		"retried pushes acked from the dedup window instead of mixed again")
 
 	// Wire-protocol instrumentation (binary framing, codecs, batched
-	// ingest): which protocol each connection negotiated, how full the
-	// mixer's batches run, and how many payload bytes each codec moved
-	// versus what raw float64 would have cost — the direct measure of the
-	// wire savings /fleet and /dash surface.
-	srvConnsGob = metrics.GetCounter("ecofl_flnet_server_conns_total",
-		"portal connections accepted by negotiated protocol", "proto", "gob")
+	// ingest): connections accepted, how full the mixer's batches run, and
+	// how many payload bytes each codec moved versus what raw float64 would
+	// have cost — the direct measure of the wire savings /fleet and /dash
+	// surface. The conns series keeps its proto label so existing scrapes
+	// still match.
 	srvConnsBinary = metrics.GetCounter("ecofl_flnet_server_conns_total",
-		"portal connections accepted by negotiated protocol", "proto", "binary")
+		"portal connections accepted (hello exchanged) by protocol", "proto", "binary")
 	srvIngestBatch = metrics.GetHistogram("ecofl_flnet_server_ingest_batch_size",
 		"pushes applied per mixer lock acquisition",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
@@ -117,8 +116,6 @@ var (
 	srvNormGateThreshold = metrics.GetGauge("ecofl_flnet_server_norm_gate_threshold",
 		"current adaptive L2 norm-gate admission threshold (0 until warm)")
 
-	cliWireFallbacks = metrics.GetCounter("ecofl_flnet_client_wire_fallbacks_total",
-		"binary hellos rejected, latching the client into gob")
 	cliSparseFallbacks = metrics.GetCounter("ecofl_flnet_client_sparse_fallbacks_total",
 		"sparse pushes sent dense instead (no reference, sparsity unprofitable, or base rejected)")
 
@@ -147,9 +144,8 @@ func (c *compressionGauge) add(rawBytes, actualBytes int) {
 }
 
 // pushPayloadSize returns the logical payload bytes of a push under its
-// codec and under the raw-float64 baseline — identical numbers whichever
-// wire (binary or legacy gob) carried the request, so the compression
-// metrics compare codecs, not framings.
+// codec and under the raw-float64 baseline, so the compression metrics
+// compare codecs, not framings.
 func pushPayloadSize(req *request) (actual, rawEquiv int) {
 	switch {
 	case req.Weights != nil:

@@ -1,19 +1,17 @@
 package flnet
 
 // Client-side fault tolerance: per-round-trip deadlines, automatic
-// reconnect with exponential backoff + jitter, and bounded retries. A gob
-// stream is stateful, so after any transport failure (deadline, reset,
-// truncated reply) the old connection is unusable and every retry starts
-// with a fresh dial and fresh encoders. Application-level rejections
+// reconnect with exponential backoff + jitter, and bounded retries. Frame
+// streams have no resync point, so after any transport failure (deadline,
+// reset, truncated reply) the old connection is unusable and every retry
+// starts with a fresh dial and a fresh hello. Application-level rejections
 // (reply.Err) are deterministic server answers and are never retried.
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"time"
 
-	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/journal"
 )
 
@@ -42,15 +40,13 @@ type Options struct {
 	JitterSeed int64
 	// Dialer opens connections; nil means plain TCP.
 	Dialer Dialer
-	// Wire selects the transport encoding: WireAuto negotiates binary with
-	// latched gob fallback, WireBinary and WireGob pin one protocol.
+	// Wire was the transport selector.
+	//
+	// Deprecated: binary framing is the only transport; ignored.
 	Wire WireMode
-	// MaxPayload caps the reply payload bytes the client will accept on a
-	// binary connection (0 = the wire package default, 128 MiB).
-	MaxPayload int
 	// Journal, when non-nil, receives flight-recorder events for every
-	// fault-path decision this client takes (retry, reconnect, gob fallback,
-	// sparse re-sync) plus an ack event per applied push. The recorder also
+	// fault-path decision this client takes (retry, reconnect, sparse
+	// re-sync) plus an ack event per applied push. The recorder also
 	// piggybacks on telemetry snapshots into the server's fleet journal.
 	// nil (the default) costs ~nothing: every record call is a nil-check.
 	Journal *journal.Recorder
@@ -98,49 +94,21 @@ func DialOptions(addr string, id int, opts Options) (*Client, error) {
 	c.rng = rand.New(rand.NewSource(opts.JitterSeed))
 	if err := c.installConn(conn); err != nil {
 		conn.Close()
-		if opts.Wire != WireAuto || !c.gobFallback {
-			return nil, err
-		}
-		// The hello was rejected: a pre-binary server dropped the (now
-		// poisoned) connection. Redial once and install the latched gob
-		// stream.
-		conn, err = opts.Dialer(addr)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.installConn(conn); err != nil {
-			conn.Close()
-			return nil, err
-		}
+		return nil, err
 	}
 	return c, nil
 }
 
-// installConn swaps in a fresh connection and builds its codec over the
-// byte-counting wrapper: the negotiated binary framing on the first attempt,
-// or the legacy gob stream when pinned or latched into fallback. A non-nil
-// error means the connection is unusable (a failed binary hello poisons the
-// stream) and the caller must redial.
+// installConn swaps in a fresh connection and runs the hello exchange over
+// the byte-counting wrapper. A non-nil error means the connection is
+// unusable and the caller must redial.
 func (c *Client) installConn(conn net.Conn) error {
 	cc := countingConn{Conn: conn, in: cliBytesIn, out: cliBytesOut}
 	c.connMu.Lock()
 	c.conn = conn
 	c.connMu.Unlock()
-	if c.opts.Wire == WireGob || (c.opts.Wire == WireAuto && c.gobFallback) {
-		c.wire = &gobClientWire{enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}
-		return nil
-	}
-	bw, err := newBinClientWire(conn, cc, c.ID, c.opts.Timeout,
-		wire.Limits{MaxPayload: c.opts.MaxPayload})
+	bw, err := newBinClientWire(conn, cc, c.ID, c.opts.Timeout)
 	if err != nil {
-		if c.opts.Wire == WireAuto {
-			// Latch: all future (re)connects speak gob. A binary-capable
-			// server that merely glitched mid-hello still interoperates —
-			// gob is always accepted — at the cost of the fast path.
-			c.gobFallback = true
-			cliWireFallbacks.Inc()
-			c.opts.Journal.Record("wire.gob-fallback", journal.None, c.ID)
-		}
 		return err
 	}
 	c.wire = bw
@@ -170,8 +138,7 @@ func (c *Client) reconnectLocked() error {
 		return ErrClosed
 	}
 	if err := c.installConn(conn); err != nil {
-		// Negotiation failed; the retry loop backs off and redials — with
-		// gob, if the failure latched the fallback.
+		// The hello exchange failed; the retry loop backs off and redials.
 		conn.Close()
 		return err
 	}

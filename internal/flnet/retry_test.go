@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ecofl/internal/flnet/wire"
 	"ecofl/internal/obs/leakcheck"
 )
 
@@ -22,28 +23,50 @@ func fastOptions(retries int) Options {
 }
 
 // A server that accepts and never replies must not hang the client: the
-// round-trip deadline fires and bounded retries give up.
+// hello deadline fails the dial, and once a hello is acked, the round-trip
+// deadline fires and bounded retries give up.
 func TestDeadlineOnHungServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn) // read forever, never answer
+	listen := func(ackHello bool) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c, err := DialOptions(ln.Addr().String(), 0, fastOptions(2))
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					if ackHello {
+						fr := wire.Reader{R: conn}
+						if _, _, _, err := fr.Next(); err != nil {
+							return
+						}
+						fw := wire.Writer{W: conn}
+						fw.WriteFrame(&wire.Header{Kind: wire.KindHelloAck}, nil, nil)
+					}
+					io.Copy(io.Discard, conn) // read forever, never answer
+				}()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	start := time.Now()
+	if c, err := DialOptions(listen(false), 0, fastOptions(2)); err == nil {
+		c.Close()
+		t.Fatal("dial against a mute server must fail")
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("dial took %v — hello deadline not enforced", elapsed)
+	}
+	c, err := DialOptions(listen(true), 0, fastOptions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
+	start = time.Now()
 	if _, _, err := c.Pull(); err == nil {
 		t.Fatal("pull against a mute server must fail")
 	}

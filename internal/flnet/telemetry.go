@@ -50,12 +50,10 @@ type TelemetrySnapshot struct {
 	// JournalBlob is the tail of the node's flight recorder not yet shipped
 	// (incremental, like Spans), as JSON-encoded []journal.Event. Opaque
 	// bytes on purpose: a typed field would pull journal.Event into the gob
-	// type-descriptor closure, and a fresh gob stream re-sends every
-	// descriptor on reconnect — each extra descriptor message is one more
-	// write a faulty link can kill, which measurably shrinks the chaos
-	// soak's recovery margin. JournalNow is the journal clock at snapshot
-	// time, aligning events onto the server clock the same way NodeNow
-	// aligns spans.
+	// type-descriptor closure, and every telemetry trailer is a fresh gob
+	// stream that carries every descriptor, so each snapshot would grow.
+	// JournalNow is the journal clock at snapshot time, aligning events
+	// onto the server clock the same way NodeNow aligns spans.
 	JournalBlob []byte
 	JournalNow  float64
 }

@@ -1,7 +1,10 @@
 package flnet
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -145,33 +148,62 @@ func TestStragglerDetectorFlagsSlowClient(t *testing.T) {
 	}
 }
 
-// TestMalformedStreamCountsDecodeError writes garbage at the server and
-// checks the decode-error counter moves while healthy clients keep working.
+// TestMalformedStreamCountsDecodeError writes streams that are not binary
+// frames at the server — plain garbage, and a real gob-encoded pull as a
+// pre-binary portal would send it — and checks each is refused with a
+// decode error while a binary client keeps being served.
 func TestMalformedStreamCountsDecodeError(t *testing.T) {
-	before := srvDecodeErrors.Value()
+	var gobPull bytes.Buffer
+	if err := gob.NewEncoder(&gobPull).Encode(&request{Kind: "pull", ClientID: 0}); err != nil {
+		t.Fatal(err)
+	}
 	s := startServer(t, []float64{1}, 0.5)
-	conn, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("\x7fthis is not a gob stream")); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for srvDecodeErrors.Value() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("decode error was not counted")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	c, err := Dial(s.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, _, err := c.Pull(); err != nil {
-		t.Fatalf("server must survive a malformed stream: %v", err)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"garbage", []byte("\x7fthis is not a frame stream")},
+		{"gob-pull", gobPull.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := srvDecodeErrors.Value()
+			conn, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.stream); err != nil {
+				t.Fatal(err)
+			}
+			if cw, ok := conn.(*net.TCPConn); ok {
+				cw.CloseWrite()
+			}
+			// The server answers nothing and drops the connection (a FIN,
+			// or a reset if it left bytes unread).
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := io.Copy(io.Discard, conn)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server kept the connection open")
+			}
+			if n != 0 {
+				t.Fatalf("server replied %d bytes to a non-frame stream", n)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srvDecodeErrors.Value() == before {
+				if time.Now().After(deadline) {
+					t.Fatal("decode error was not counted")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			c, err := Dial(s.Addr(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, _, err := c.Pull(); err != nil {
+				t.Fatalf("server must survive a malformed stream: %v", err)
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package wire is the length-prefixed binary framing of the flnet
-// transport — the hot-path replacement for reflection-based encoding/gob.
+// transport.
 // Every frame is
 //
 //	magic "EFLB" (4) | version (1) | kind (1) | codec (1) | flags (1)
@@ -12,9 +12,9 @@
 // of three codecs: raw float64 (zero-copy []byte↔[]float64 views where the
 // host allows it), int8 affine quantization (min + scale + one byte per
 // weight), or a top-k sparse delta (index/value pairs against a reference
-// model both ends hold). The trailer carries out-of-band gob blobs —
+// model both ends hold). The trailer carries out-of-band data — gob-encoded
 // telemetry snapshots on requests, error strings on replies — none of which
-// are hot.
+// is hot.
 //
 // Decoding is fail-closed in the style of the pipeline runtime's
 // validateFrame: magic, version, kind, codec, and both length prefixes are
@@ -40,16 +40,15 @@ const (
 	Version = 1
 )
 
-// Magic opens every frame. It is not a prefix of any gob stream a legacy
-// portal can produce (gob streams open with a length byte well below 0x45),
-// so the server can sniff binary vs gob on the first four bytes of a
-// connection.
+// Magic opens every frame; ParseHeader rejects any header without it, so a
+// stream that is not frames (a pre-binary portal's gob requests, say) fails
+// on its first read.
 var Magic = [4]byte{'E', 'F', 'L', 'B'}
 
 // Frame kinds.
 const (
 	KindHello     byte = 1 // client→server: first frame on a binary conn
-	KindHelloAck  byte = 2 // server→client: binary negotiated
+	KindHelloAck  byte = 2 // server→client: hello accepted
 	KindPull      byte = 3
 	KindPush      byte = 4
 	KindTelemetry byte = 5

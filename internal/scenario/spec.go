@@ -200,7 +200,6 @@ const (
 // WireSpec selects the flnet transport encoding (flnet topology only).
 type WireSpec struct {
 	Codec string `json:"codec,omitempty"` // raw (default), quant, sparse, mixed
-	Mode  string `json:"mode,omitempty"`  // auto (default), binary, gob
 	// TopK caps coordinates per sparse push (sparse/mixed codec). 0 means
 	// 1/8 of the model.
 	TopK int `json:"top_k,omitempty"`
@@ -377,11 +376,6 @@ func (w WireSpec) validate() error {
 	case "", CodecRaw, CodecQuant, CodecSparse, CodecMixed:
 	default:
 		return fmt.Errorf("unknown wire.codec %q (raw, quant, sparse, mixed)", w.Codec)
-	}
-	switch w.Mode {
-	case "", "auto", "binary", "gob":
-	default:
-		return fmt.Errorf("unknown wire.mode %q (auto, binary, gob)", w.Mode)
 	}
 	if w.TopK < 0 {
 		return fmt.Errorf("wire.top_k must not be negative (got %d)", w.TopK)

@@ -51,7 +51,7 @@ func TestParseHostileSpecs(t *testing.T) {
 		{"dropout prob > 1", `{"name":"t","topology":"fl","fleet":{"clients":2},"aggregation":{"strategy":"fedavg","dropout_prob":2},"run":{"duration_s":10}}`, "dropout_prob must be in [0, 1]"},
 		{"quorum > 1", `{"name":"t","topology":"fl","fleet":{"clients":2},"aggregation":{"strategy":"fedavg","quorum":1.1},"run":{"duration_s":10}}`, "quorum must be in [0, 1]"},
 		{"unknown codec", `{"name":"t","topology":"flnet","fleet":{"clients":2},"wire":{"codec":"zstd"},"run":{"rounds":1}}`, `unknown wire.codec "zstd"`},
-		{"unknown wire mode", `{"name":"t","topology":"flnet","fleet":{"clients":2},"wire":{"mode":"json"},"run":{"rounds":1}}`, `unknown wire.mode "json"`},
+		{"unknown wire mode", `{"name":"t","topology":"flnet","fleet":{"clients":2},"wire":{"mode":"json"},"run":{"rounds":1}}`, `unknown field "mode"`},
 		{"negative topk", `{"name":"t","topology":"flnet","fleet":{"clients":2},"wire":{"top_k":-5},"run":{"rounds":1}}`, "wire.top_k must not be negative"},
 		{"bad fault mode", `{"name":"t","topology":"flnet","fleet":{"clients":2},"faults":[{"mode":"earthquake","prob":0.5}],"run":{"rounds":1}}`, "earthquake"},
 		{"fault prob > 1", `{"name":"t","topology":"flnet","fleet":{"clients":2},"faults":[{"mode":"drop","prob":1.5}],"run":{"rounds":1}}`, "faults[0].prob must be in [0, 1]"},

@@ -14,6 +14,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# perfbench/ is its own module (replace ecofl => ../), so the root ./...
+# never reaches it; vet and test it here so a flnet API change cannot
+# break the benchmark unseen.
+(cd perfbench && go vet . && go test .)
 # -short keeps the race pass fast: the flnet chaos soak (fault-injected
 # links, server bounces) and the pipeline chaos soak (executor TestChaosSoak:
 # every simnet fault mode plus a killed device, under ./internal/adaptive/...)
@@ -21,7 +25,7 @@ go test ./...
 # above. ./internal/adaptive/... covers the self-healing executor package;
 # ./internal/pipeline/runtime/... covers the hardened link layer;
 # ./internal/flnet/... recursively covers ./internal/flnet/wire/... (binary
-# frame codecs) alongside the mixed-wire interop and codec chaos soaks.
+# frame codecs) alongside the codec chaos soaks.
 go test -race -short ./internal/tensor/... ./internal/fl/... \
 	./internal/fl/robust/... \
 	./internal/metrics/... ./internal/obs/... ./internal/adaptive/... \
